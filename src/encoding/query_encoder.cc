@@ -192,7 +192,10 @@ class SgEncoderImpl final : public QueryEncoder {
 
   // Canonical edge ordering (paper Fig. 2 step 2.2) as a pattern
   // permutation: star -> centre first, then pairs in canonical order;
-  // chain -> walk order; otherwise first occurrence. Star detection is a
+  // chain -> walk order; otherwise query::CanonicalCompositeOrder — the
+  // order query::ComputeFingerprint hashes composites in, so queries
+  // sharing a fingerprint (the result cache's and the planner memo's
+  // key) encode identically. Star detection is a
   // cheap all-subjects-equal scan. Also validates the edge-capacity
   // bound (the public CanEncode goes through ComputeSgFootprint, whose
   // std::map would cost an allocation per node on this hot path).
@@ -219,9 +222,8 @@ class SgEncoderImpl final : public QueryEncoder {
         query::AsChain(q, &scratch->chain, &chain)) {
       return scratch->chain.order.data();
     }
-    scratch->order.resize(num_patterns);
-    for (size_t l = 0; l < num_patterns; ++l)
-      scratch->order[l] = static_cast<int>(l);
+    query::CanonicalCompositeOrder(q, nullptr, num_patterns,
+                                   &scratch->order);
     return scratch->order.data();
   }
 

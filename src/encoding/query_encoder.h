@@ -89,7 +89,7 @@ std::unique_ptr<QueryEncoder> MakeChainEncoder(const rdf::Graph& graph,
 /// Layout: [A | X | E] with A row-major (i * n + j) * e + l, X and E one
 /// row per node/edge. Star queries place the centre at node 0 and objects
 /// in canonical predicate order; chains use walk order; composite queries
-/// use first-occurrence order.
+/// use query::CanonicalCompositeOrder (the fingerprint's order).
 std::unique_ptr<QueryEncoder> MakeSgEncoder(const rdf::Graph& graph,
                                             int max_nodes, int max_edges,
                                             TermEncoding term_encoding);

@@ -215,13 +215,32 @@ void JoinPlanner::PriceMasks(const query::Query& q,
                              std::span<const uint64_t> masks,
                              double* cards) {
   pending_masks_.clear();
+  pending_fps_.clear();
+  pending_index_.Clear();
+  mask_pending_.resize(masks.size());
   for (size_t i = 0; i < masks.size(); ++i) {
-    if (config_.use_memo &&
-        memo_.Lookup(SubsetFp(q, masks[i]), &cards[i])) {
-      ++plan_.memo_hits;
+    if (!config_.use_memo) {
+      mask_pending_[i] = pending_masks_.size();
+      pending_masks_.push_back(masks[i]);
       continue;
     }
-    cards[i] = -1.0;  // marker: to price
+    const query::Fingerprint fp = SubsetFp(q, masks[i]);
+    if (memo_.Lookup(fp, &cards[i])) {
+      ++plan_.memo_hits;
+      mask_pending_[i] = kMemoHit;
+      continue;
+    }
+    // A miss isomorphic to one already pending in this call (same
+    // fingerprint) takes that sub-plan's estimate instead of being
+    // priced again.
+    double pending = 0.0;
+    if (pending_index_.Lookup(fp, &pending)) {
+      mask_pending_[i] = static_cast<size_t>(pending);
+      continue;
+    }
+    mask_pending_[i] = pending_fps_.size();
+    pending_index_.Insert(fp, static_cast<double>(pending_fps_.size()));
+    pending_fps_.push_back(fp);
     pending_masks_.push_back(masks[i]);
   }
   if (pending_masks_.empty()) return;
@@ -247,13 +266,13 @@ void JoinPlanner::PriceMasks(const query::Query& q,
     for (size_t i = 0; i < pending_masks_.size(); ++i)
       pending_results_[i] = source_->EstimateOne(pending_queries_[i]);
   }
-  // Scatter results back (and into the memo) in mask order.
-  size_t next = 0;
-  for (size_t i = 0; i < masks.size(); ++i) {
-    if (cards[i] >= 0.0) continue;
-    cards[i] = pending_results_[next++];
-    if (config_.use_memo) memo_.Insert(SubsetFp(q, masks[i]), cards[i]);
-  }
+  // Scatter results back in mask order; the memo learns each distinct
+  // sub-plan once, under the fingerprint its lookup computed.
+  for (size_t i = 0; i < masks.size(); ++i)
+    if (mask_pending_[i] != kMemoHit)
+      cards[i] = pending_results_[mask_pending_[i]];
+  for (size_t k = 0; k < pending_fps_.size(); ++k)
+    memo_.Insert(pending_fps_[k], pending_results_[k]);
 }
 
 void JoinPlanner::BuildAdjacency(const query::Query& q) {

@@ -100,8 +100,10 @@ class OracleSource : public CardinalitySource {
 /// lattices of a workload's queries overlap heavily (every 3-star is a
 /// sub-plan of every larger star over the same predicates), so a hit
 /// skips subquery materialization AND the service round-trip including
-/// its cache lookup. Open addressing, power-of-two capacity, generation
-/// stamps so Clear() is O(1); grows by rehash at 70% load (amortized —
+/// its cache lookup. (Within one pricing call the planner also dedups
+/// isomorphic misses before they reach the memo; see JoinPlanner.) Open
+/// addressing, power-of-two capacity, generation stamps so Clear() is
+/// O(1); grows by rehash at 70% load (amortized —
 /// a warm memo over a stable workload stops growing, keeping planner
 /// rounds allocation-free).
 class PlanMemo {
@@ -138,7 +140,8 @@ struct PlannerConfig {
   /// Consider bushy splits. Off = left-deep only (single-pattern right
   /// sides), the space the example's old scorer searched.
   bool bushy = true;
-  /// Memoize sub-plan cardinalities across PlanQuery calls.
+  /// Memoize sub-plan cardinalities across PlanQuery calls, and price
+  /// isomorphic sub-plans of one pricing call (equal fingerprints) once.
   bool use_memo = true;
   /// Price memo misses through EstimateMany in chunks of
   /// max_pricing_batch; off = one EstimateOne per miss (the naive mode
@@ -170,7 +173,8 @@ struct Plan {
 
   // Enumeration counters (this PlanQuery call only).
   size_t subplans_considered = 0;  // connected sub-BGPs in the lattice
-  size_t subplans_priced = 0;      // cardinalities fetched from the source
+  size_t subplans_priced = 0;      // distinct sub-plans fetched from the
+                                   // source (memo misses, deduplicated)
   size_t memo_hits = 0;
   bool used_greedy = false;
 
@@ -187,11 +191,15 @@ struct Plan {
 /// cross-product nodes.
 ///
 /// The pricing pipeline is the perf core: every connected sub-BGP of
-/// size >= 2 is fingerprinted IN PLACE via ComputeSubsetFingerprint (no
-/// subquery materialization, allocation-free once warm), deduplicated
-/// against the cross-enumeration memo, and only the misses are
-/// materialized and priced — in level-sized EstimateMany batches that a
-/// ServingSource fans across every serving shard at once.
+/// size >= 2 is fingerprinted ONCE, IN PLACE via ComputeSubsetFingerprint
+/// (no subquery materialization, allocation-free once warm), deduplicated
+/// against the cross-enumeration memo AND against the other misses of the
+/// same pricing call (isomorphic subsets — e.g. stars over repeated
+/// predicates — share one fingerprint and one estimate), and only the
+/// distinct misses are materialized and priced — in level-sized
+/// EstimateMany batches that a ServingSource hands to the service's
+/// EstimateBatch (run on this thread when the shards are idle).
+/// Plan::subplans_priced counts those distinct sub-plans.
 ///
 /// Determinism: ties between splits break toward the first candidate in
 /// ascending submask order, so with a deterministic source the chosen
@@ -215,8 +223,10 @@ class JoinPlanner {
 
  private:
   // Prices `masks` (any popcounts) writing cards[i] for masks[i]:
-  // subset-fingerprints in place, consults the memo, materializes and
-  // prices only the misses (batched per config), inserts results back.
+  // subset-fingerprints each mask once, consults the memo, drops misses
+  // whose fingerprint is already pending in this call, materializes and
+  // prices only the distinct misses (batched per config), and inserts
+  // their results back under the fingerprints the lookups computed.
   void PriceMasks(const query::Query& q, std::span<const uint64_t> masks,
                   double* cards);
   void BuildAdjacency(const query::Query& q);
@@ -238,7 +248,15 @@ class JoinPlanner {
   std::vector<uint64_t> connected_;          // connected masks, |S| >= 2
   std::vector<uint8_t> conn_;                // connectivity per cell
   std::vector<double> sub_card_;             // cardinality per cell
-  std::vector<uint64_t> pending_masks_;      // memo misses to price
+  std::vector<uint64_t> pending_masks_;      // distinct misses to price
+  std::vector<query::Fingerprint> pending_fps_;  // their fingerprints
+  // Per priced mask: index into pending_* of the sub-plan it takes, or
+  // kMemoHit when the memo answered.
+  static constexpr size_t kMemoHit = ~size_t{0};
+  std::vector<size_t> mask_pending_;
+  // In-call dedup index: fingerprint -> index into pending_* (exact as
+  // a double), cleared in O(1) per PriceMasks call.
+  PlanMemo pending_index_;
   std::vector<query::Query> pending_queries_;
   std::vector<double> pending_results_;
   std::vector<double> price_out_;            // PriceMasks result buffer

@@ -1,7 +1,6 @@
 #include "query/fingerprint.h"
 
 #include <algorithm>
-#include <array>
 
 namespace lmkg::query {
 
@@ -46,21 +45,6 @@ uint64_t TermToken(const PatternTerm& t, std::vector<int>* var_map,
   if (mapped < 0) mapped = (*next_var)++;
   return (uint64_t{1} << 62) |
          static_cast<uint64_t>(static_cast<uint32_t>(mapped));
-}
-
-// Variable-independent structural sort key for the composite fallback:
-// bound terms order by id, every variable ties at the same key. Ties
-// (patterns differing only in variable ids) keep their original order —
-// best-effort, as documented in the header.
-std::array<uint64_t, 6> StructuralKey(const TriplePattern& t) {
-  auto part = [](const PatternTerm& term) -> std::array<uint64_t, 2> {
-    return term.is_var()
-               ? std::array<uint64_t, 2>{1, 0}
-               : std::array<uint64_t, 2>{0,
-                                         static_cast<uint64_t>(term.value)};
-  };
-  const auto s = part(t.s), p = part(t.p), o = part(t.o);
-  return {s[0], s[1], p[0], p[1], o[0], o[1]};
 }
 
 // Shared implementation of ComputeFingerprint/ComputeSubsetFingerprint
@@ -117,28 +101,13 @@ Fingerprint ComputeFingerprintImpl(const Query& q, const int* subset,
     return hash.Done();
   }
 
-  // Composite fallback: patterns sorted by a variable-independent
-  // structural key, variables renumbered in that emission order. Sound
-  // (different queries emit different streams) but only best-effort
-  // canonical — see the header.
+  // Composite fallback: patterns in query::CanonicalCompositeOrder, the
+  // order SG-Encoding uses too, variables renumbered in that emission
+  // order. Sound (different queries emit different streams) but only
+  // best-effort canonical — see the header.
   hash.Absorb(kTagOther);
   hash.Absorb(n);
-  scratch->order.resize(n);
-  for (size_t i = 0; i < n; ++i)
-    scratch->order[i] = subset == nullptr ? static_cast<int>(i) : subset[i];
-  // std::sort with the original index as tie-break reproduces
-  // stable_sort's order without its temporary-buffer allocation (the
-  // "allocation-free once warm" contract covers every shape). Tie-broken
-  // patterns keep ascending original-index order, which for an ascending
-  // subset equals the materialized subquery's pattern order — so subset
-  // and materialized fingerprints agree on composites too.
-  std::sort(scratch->order.begin(), scratch->order.end(),
-            [&](int a, int b) {
-              const auto key_a = StructuralKey(q.patterns[a]);
-              const auto key_b = StructuralKey(q.patterns[b]);
-              if (key_a != key_b) return key_a < key_b;
-              return a < b;
-            });
+  CanonicalCompositeOrder(q, subset, n, &scratch->order);
   for (int index : scratch->order) {
     const TriplePattern& t = q.patterns[index];
     hash.Absorb(TermToken(t.s, &scratch->var_map, &next_var));

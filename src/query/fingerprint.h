@@ -23,11 +23,12 @@ namespace lmkg::query {
 /// the cache's equivalence classes match the estimators'):
 ///   * stars hash center + (p, o) pairs in CanonicalStarOrder,
 ///   * chains hash nodes/predicates in AsChain walk order,
-///   * everything else hashes patterns sorted by a variable-independent
-///     structural key (best-effort: shuffled composite queries with
-///     renamed variables may MISS — never falsely collide — and
-///     composites only reach the estimators through decomposition
-///     anyway).
+///   * everything else hashes patterns in CanonicalCompositeOrder (a
+///     variable-independent structural key) — the order SG-Encoding
+///     emits composite edges in, so SG-encoded composites (LMKG-S tree
+///     combos) that share a fingerprint also share their encoder input.
+///     Best-effort: shuffled composites whose patterns tie on the key
+///     and differ only in variables may MISS — never falsely collide.
 /// Variables are renumbered by first appearance in the canonical emission
 /// order, so isomorphic renamings hash identically; var_names never
 /// contribute.

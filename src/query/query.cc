@@ -1,6 +1,7 @@
 #include "query/query.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 
 #include "util/check.h"
@@ -242,6 +243,38 @@ void CanonicalStarOrder(const StarView& star, std::vector<int>* order) {
   std::sort(order->begin(), order->end(), [&](int a, int b) {
     return std::pair(key(star.predicate(a)), key(star.object(a))) <
            std::pair(key(star.predicate(b)), key(star.object(b)));
+  });
+}
+
+namespace {
+
+// Variable-independent structural sort key for composite patterns: bound
+// terms order by id, every variable ties at the same key.
+std::array<uint64_t, 6> StructuralKey(const TriplePattern& t) {
+  auto part = [](const PatternTerm& term) -> std::array<uint64_t, 2> {
+    return term.is_var()
+               ? std::array<uint64_t, 2>{1, 0}
+               : std::array<uint64_t, 2>{0,
+                                         static_cast<uint64_t>(term.value)};
+  };
+  const auto s = part(t.s), p = part(t.p), o = part(t.o);
+  return {s[0], s[1], p[0], p[1], o[0], o[1]};
+}
+
+}  // namespace
+
+void CanonicalCompositeOrder(const Query& q, const int* subset, size_t n,
+                             std::vector<int>* order) {
+  order->resize(n);
+  for (size_t i = 0; i < n; ++i)
+    (*order)[i] = subset == nullptr ? static_cast<int>(i) : subset[i];
+  // std::sort with the original index as tie-break reproduces
+  // stable_sort's order without its temporary-buffer allocation.
+  std::sort(order->begin(), order->end(), [&](int a, int b) {
+    const auto key_a = StructuralKey(q.patterns[a]);
+    const auto key_b = StructuralKey(q.patterns[b]);
+    if (key_a != key_b) return key_a < key_b;
+    return a < b;
   });
 }
 

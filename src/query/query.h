@@ -135,6 +135,18 @@ bool AsStarSubset(const Query& q, std::span<const int> subset,
 /// identically. Reuses the caller's buffer; allocation-free once warm.
 void CanonicalStarOrder(const StarView& star, std::vector<int>* order);
 
+/// Writes the canonical pattern order of a composite (neither star nor
+/// chain) sub-BGP into *order: the n patterns q.patterns[subset[i]]
+/// (subset == nullptr means the identity 0..n) as ORIGINAL pattern
+/// indices, sorted by a variable-independent structural key (bound terms
+/// by id, every variable tying), ties kept in ascending index order.
+/// ComputeFingerprint and SG-Encoding both order composites this way, so
+/// equal fingerprints imply identical encoder input. For an ascending
+/// subset the tie order equals the materialized subquery's pattern
+/// order. Allocation-free once *order is warm.
+void CanonicalCompositeOrder(const Query& q, const int* subset, size_t n,
+                             std::vector<int>* order);
+
 /// Reusable scratch for AsChain: the walk-order output plus an
 /// open-addressing fingerprint table used for O(k) head detection, walk
 /// lookup, and node-distinctness checking. A warm scratch (capacity >=

@@ -181,22 +181,10 @@ double EstimatorService::Estimate(const query::Query& q) {
   Shard* shard = nullptr;
   double estimate = 0.0;
   if (PrepareAndTryCache(q, &request, &shard, &estimate)) return estimate;
-  // Inline fast path: an idle shard (empty ring, uncontended replica)
-  // means the worker round-trip — push, wake, park, batch, notify —
-  // would dominate a single forward pass. Compute here instead. The
-  // try_lock makes this safe against the worker and hot-swaps (both
-  // serialize on replica_mu); a request that slips into the ring
-  // meanwhile just blocks the worker on the mutex for one query.
-  if (config_.inline_execution && shard->ring.ApproxSize() == 0 &&
-      shard->replica_mu.TryLock()) {
-    util::MutexLock model_lock(&shard->replica_mu, util::kAdoptLock);
-    const double value = shard->replica->EstimateCardinality(q);
-    model_lock.Unlock();
-    shard->stats.RecordBatch(1);
-    Complete(*shard, &request, value, std::chrono::steady_clock::now());
-    return request.result;
-  }
   request.query = &q;  // the caller blocks here, so no copy is needed
+  Request* const self = &request;
+  if (RunInline(*shard, std::span<Request* const>(&self, 1)))
+    return request.result;
   LMKG_CHECK(shard->ring.Push(&request))
       << "Estimate on a shut-down EstimatorService";
 
@@ -235,6 +223,52 @@ std::future<double> EstimatorService::EstimateAsync(const query::Query& q) {
   return future;
 }
 
+bool EstimatorService::RunInline(Shard& shard,
+                                 std::span<Request* const> requests) {
+  // An idle shard (empty ring, uncontended replica) means the worker
+  // round-trip — push, wake, park, batch, notify — would cost more than
+  // computing here. The try-lock makes this safe against the worker and
+  // hot-swaps (both serialize on replica_mu); a request that slips into
+  // the ring meanwhile just waits for the worker until this returns.
+  if (!config_.inline_execution || shard.ring.ApproxSize() != 0 ||
+      !shard.replica_mu.TryLock())
+    return false;
+  const size_t chunk = config_.max_batch_size;
+  double single = 0.0;
+  std::span<double> values(&single, 1);
+  {
+    util::MutexLock model_lock(&shard.replica_mu, util::kAdoptLock);
+    if (requests.size() == 1) {
+      // One query needs no gather: the single-query entry point is
+      // estimate-equivalent to a batch of one.
+      single = shard.replica->EstimateCardinality(*requests[0]->query);
+    } else {
+      // Per-thread batch buffers: Query assignment recycles pattern
+      // capacity, so a warm caller assembles chunks without allocating.
+      thread_local std::vector<query::Query> chunk_queries;
+      thread_local std::vector<double> batch_values;
+      batch_values.resize(requests.size());
+      values = batch_values;
+      if (chunk_queries.size() < std::min(chunk, requests.size()))
+        chunk_queries.resize(std::min(chunk, requests.size()));
+      for (size_t start = 0; start < requests.size(); start += chunk) {
+        const size_t n = std::min(chunk, requests.size() - start);
+        for (size_t i = 0; i < n; ++i)
+          chunk_queries[i] = *requests[start + i]->query;
+        shard.replica->EstimateCardinalityBatch(
+            std::span<const query::Query>(chunk_queries.data(), n),
+            values.subspan(start, n));
+      }
+    }
+  }
+  for (size_t start = 0; start < requests.size(); start += chunk)
+    shard.stats.RecordBatch(std::min(chunk, requests.size() - start));
+  const auto now = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < requests.size(); ++i)
+    Complete(shard, requests[i], values[i], now);
+  return true;
+}
+
 void EstimatorService::EstimateBatch(std::span<const query::Query> queries,
                                      std::span<double> results) {
   LMKG_CHECK_EQ(queries.size(), results.size());
@@ -248,8 +282,10 @@ void EstimatorService::EstimateBatch(std::span<const query::Query> queries,
   // into this vector), so it must never reallocate — hence the sized
   // constructor, not push_back.
   std::vector<Request> requests(queries.size());
-  std::vector<uint8_t> touched(shards_.size(), 0);
-
+  // Cache misses grouped by shard (a counting sort): shard s owns
+  // misses[offset[s] .. offset[s + 1]).
+  std::vector<size_t> shard_of(queries.size());
+  std::vector<size_t> offset(shards_.size() + 1, 0);
   for (size_t i = 0; i < queries.size(); ++i) {
     Request& request = requests[i];
     request.enqueue_time = now;
@@ -257,32 +293,52 @@ void EstimatorService::EstimateBatch(std::span<const query::Query> queries,
     if (PrepareAndTryCache(queries[i], &request, &shard, &results[i]))
       continue;  // request.query stays null — nothing to wait for
     request.query = &queries[i];
-    const size_t idx = request.fp.ShardHash() % shards_.size();
-    if (shard->ring.TryPushNoWake(&request)) {
-      touched[idx] = 1;  // wake once per shard after the fan-out
-    } else {
+    shard_of[i] = request.fp.ShardHash() % shards_.size();
+    ++offset[shard_of[i] + 1];
+  }
+  for (size_t s = 0; s < shards_.size(); ++s) offset[s + 1] += offset[s];
+  std::vector<Request*> misses(offset.back());
+  {
+    std::vector<size_t> next(offset.begin(), offset.end() - 1);
+    for (size_t i = 0; i < queries.size(); ++i)
+      if (requests[i].query != nullptr)
+        misses[next[shard_of[i]]++] = &requests[i];
+  }
+
+  // An idle shard's misses run here, on the caller's thread; a busy
+  // shard's ride a no-wake ring push each plus ONE deferred consumer
+  // wake — one publish fence per shard, not per query, and the shard's
+  // micro-batcher sees the whole sub-batch at once.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const std::span<Request* const> group(misses.data() + offset[s],
+                                          offset[s + 1] - offset[s]);
+    if (group.empty()) continue;
+    Shard& shard = *shards_[s];
+    if (RunInline(shard, group)) continue;
+    for (Request* request : group) {
+      if (shard.ring.TryPushNoWake(request)) continue;
       // Full ring: publish what this batch already deferred onto it,
       // then fall back to the blocking push (wakes internally).
-      shard->ring.WakeConsumer();
-      LMKG_CHECK(shard->ring.Push(&request))
+      shard.ring.WakeConsumer();
+      LMKG_CHECK(shard.ring.Push(request))
           << "EstimateBatch on a shut-down EstimatorService";
     }
+    shard.ring.WakeConsumer();
   }
-  // Deferred publication: one fence + conditional notify per touched
-  // shard, not per query — the amortization this API exists for.
-  for (size_t s = 0; s < shards_.size(); ++s)
-    if (touched[s]) shards_[s]->ring.WakeConsumer();
 
   // Collect. Waiting shard-by-shard in submission order is fine: total
-  // wall time is the max over shards either way.
+  // wall time is the max over shards either way. Inline-run requests are
+  // already done and skip the handshake.
   for (size_t i = 0; i < queries.size(); ++i) {
     Request& request = requests[i];
     if (request.query == nullptr) continue;  // served from cache
-    Shard& shard = ShardFor(request.fp);
-    util::MutexLock lock(&shard.done_mu);
-    shard.done_cv.Wait(shard.done_mu, [&] {
-      return request.done.load(std::memory_order_acquire);
-    });
+    if (!request.done.load(std::memory_order_acquire)) {
+      Shard& shard = ShardFor(request.fp);
+      util::MutexLock lock(&shard.done_mu);
+      shard.done_cv.Wait(shard.done_mu, [&] {
+        return request.done.load(std::memory_order_acquire);
+      });
+    }
     results[i] = request.result;
   }
 }
@@ -408,8 +464,8 @@ void EstimatorService::WorkerLoop(Shard* shard) {
       queries[i] = *batch[i]->query;
     {
       // Estimators are not thread-safe (reused encode/forward scratch);
-      // the shard's worker and hot-swaps of the shard's model
-      // synchronize on this mutex. No other thread computes here.
+      // the shard's worker, inline callers (RunInline) and hot-swaps of
+      // the shard's model synchronize on this mutex.
       util::MutexLock model_lock(&shard->replica_mu);
       shard->replica->EstimateCardinalityBatch(queries, results);
     }

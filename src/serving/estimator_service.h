@@ -64,14 +64,15 @@ struct ServiceConfig {
   /// Sampling preserves the workload's combo mix, which is all the
   /// monitor needs.
   size_t workload_sample_every = 1;
-  /// When a blocking Estimate targets a shard whose ring is empty and
-  /// whose worker is idle (replica mutex uncontended), compute on the
-  /// CALLER's thread instead of round-tripping through the worker —
-  /// enqueue + park + wake costs more than a single-query forward pass,
-  /// which is why 1-core uncached serving used to run ~0.7x the serial
-  /// path. Contention (worker mid-batch, concurrent inline caller)
-  /// falls back to the queued path, so throughput under load is
-  /// unchanged.
+  /// When a blocking Estimate or EstimateBatch targets a shard whose
+  /// ring is empty and whose worker is idle (replica mutex uncontended),
+  /// compute that shard's misses on the CALLER's thread instead of
+  /// round-tripping through the worker — enqueue + wake + park + notify
+  /// costs more than the forward pass it carries, and the caller would
+  /// only sit waiting. A batch's misses run in chunks of max_batch_size.
+  /// Contention (worker mid-batch, concurrent inline caller, a
+  /// WithReplica/ReplaceReplica holder) falls back to the queued path
+  /// for that shard, so throughput under load is unchanged.
   bool inline_execution = true;
   /// Executor-feedback loop (borrowed; must outlive the service; nullptr
   /// disables all feedback paths with zero request-path overhead). When
@@ -164,15 +165,18 @@ class EstimatorService {
   /// resolves when the carrying batch completes (or on shutdown drain).
   std::future<double> EstimateAsync(const query::Query& q);
 
-  /// Blocking bulk estimate: fans `queries` across shards by fingerprint
-  /// in ONE pass — cache hits fill immediately, misses ride a no-wake
-  /// ring push, then each touched shard gets a single consumer wakeup —
-  /// so a k-query batch costs one publish fence per SHARD instead of one
-  /// per query, and every shard's micro-batcher sees the whole sub-batch
-  /// at once. Returns after all k results land in `results`
-  /// (results.size() must equal queries.size()). Requests ride this
-  /// call's stack; no per-query allocation beyond the worker's batch
-  /// assembly. This is the planner's sub-plan pricing path.
+  /// Blocking bulk estimate: fingerprints and routes `queries` in ONE
+  /// pass — cache hits fill immediately, misses are grouped by shard.
+  /// An idle shard's group (see ServiceConfig::inline_execution) runs on
+  /// the caller's thread through EstimateCardinalityBatch, in chunks of
+  /// max_batch_size; a busy shard's group rides a no-wake ring push per
+  /// query plus a single consumer wakeup, so a k-query batch costs one
+  /// publish fence per SHARD instead of one per query and the shard's
+  /// micro-batcher sees the whole sub-batch at once. Returns after all k
+  /// results land in `results` (results.size() must equal
+  /// queries.size()). Requests ride this call's stack. Stats count the
+  /// same requests, misses and batched requests on either path. This is
+  /// the planner's sub-plan pricing path.
   void EstimateBatch(std::span<const query::Query> queries,
                      std::span<double> results);
 
@@ -324,6 +328,12 @@ class EstimatorService {
   bool PrepareAndTryCache(const query::Query& q, Request* request,
                           Shard** shard, double* estimate);
   void MaybeSampleWorkload(Shard& shard, const query::Query& q);
+  // The one inline path of Estimate and EstimateBatch: if `shard` is
+  // idle and inline_execution is on, computes `requests` (all routed to
+  // `shard`, query set) on the caller's thread under the replica mutex,
+  // in chunks of max_batch_size, then completes each; returns false,
+  // touching nothing, otherwise.
+  bool RunInline(Shard& shard, std::span<Request* const> requests);
   void WorkerLoop(Shard* shard);
   // Fulfills one request with `value` (cache insert + latency stats).
   void Complete(Shard& shard, Request* request, double value,

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "core/lmkg_s.h"
 #include "encoding/query_encoder.h"
+#include "query/fingerprint.h"
 #include "query/topology.h"
 #include "encoding/term_encoder.h"
+#include "sampling/workload.h"
 #include "test_util.h"
 #include "util/math.h"
 
@@ -255,6 +258,48 @@ TEST_F(QueryEncoderTest, SgEncodesCompositeShapes) {
   auto tree_vec = enc->EncodeToVector(tree);
   auto cycle_vec = enc->EncodeToVector(cycle);
   EXPECT_NE(tree_vec, cycle_vec);
+}
+
+TEST_F(QueryEncoderTest, SgCompositeShufflesSharingAFingerprintEstimateIdentically) {
+  // A tree (neither star nor chain), and the same BGP with its patterns
+  // reordered and its variables renamed. They share a fingerprint — the
+  // key the result cache and the planner memo serve estimates by — so
+  // SG-Encoding must give them the same input, and LMKG-S the same
+  // estimate bit for bit.
+  Query tree;
+  tree.patterns = {{V(0), B(1), V(1)}, {V(0), B(2), V(2)}, {V(1), B(3), V(3)}};
+  tree.num_vars = 4;
+  Query shuffled;
+  shuffled.patterns = {
+      {V(0), B(3), V(1)}, {V(2), B(2), V(3)}, {V(2), B(1), V(0)}};
+  shuffled.num_vars = 4;
+  ASSERT_EQ(query::ClassifyTopology(tree), query::Topology::kComposite);
+  ASSERT_EQ(query::ComputeFingerprint(tree),
+            query::ComputeFingerprint(shuffled));
+
+  auto enc = MakeSgEncoder(graph_, 4, 3, TermEncoding::kBinary);
+  EXPECT_EQ(enc->EncodeToVector(tree), enc->EncodeToVector(shuffled));
+
+  core::LmkgSConfig config;
+  config.hidden_dim = 8;
+  config.epochs = 2;
+  config.dropout = 0.0;
+  core::LmkgS model(MakeSgEncoder(graph_, 4, 3, TermEncoding::kBinary),
+                    config);
+  Query other = tree;
+  other.patterns[2].p = B(4);
+  std::vector<sampling::LabeledQuery> train(2);
+  train[0].query = tree;
+  train[0].cardinality = 40.0;
+  train[1].query = other;
+  train[1].cardinality = 3.0;
+  model.Train(train);
+  EXPECT_EQ(model.EstimateCardinality(tree),
+            model.EstimateCardinality(shuffled));
+  std::vector<double> batched(2, 0.0);
+  model.EstimateCardinalityBatch(std::vector<Query>{tree, shuffled},
+                                 batched);
+  EXPECT_EQ(batched[0], batched[1]);
 }
 
 TEST_F(QueryEncoderTest, SgCompositeFootprintGatesCapacity) {

@@ -14,12 +14,14 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/independence.h"
 #include "query/fingerprint.h"
 #include "query/query.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace lmkg::planner {
 namespace {
@@ -81,6 +83,56 @@ Query Branching() {
 std::vector<Query> TestQueries() {
   return {Star(2), Star(3), Star(5), Chain(2), Chain(3), Chain(5),
           Branching()};
+}
+
+// A subject star over repeated predicates with unbound objects: many of
+// its connected subsets are isomorphic ({?0 p10 ?1, ?0 p11 ?4} and
+// {?0 p10 ?2, ?0 p11 ?5} share a fingerprint).
+Query RepeatedStar() {
+  return query::MakeStarQuery(
+      PatternTerm::Variable(0),
+      {{PatternTerm::Bound(10), PatternTerm::Variable(1)},
+       {PatternTerm::Bound(10), PatternTerm::Variable(2)},
+       {PatternTerm::Bound(10), PatternTerm::Variable(3)},
+       {PatternTerm::Bound(11), PatternTerm::Variable(4)},
+       {PatternTerm::Bound(11), PatternTerm::Variable(5)}});
+}
+
+// A composite tree with repeated predicates: ?0 -31-> ?1 -32-> ?3,
+// ?0 -31-> ?2 -32-> ?4, ?0 -33-> ?5 (two isomorphic branches).
+Query RepeatedTree() {
+  auto edge = [](int s, rdf::TermId p, int o) {
+    return TriplePattern{PatternTerm::Variable(s), PatternTerm::Bound(p),
+                         PatternTerm::Variable(o)};
+  };
+  Query q;
+  q.patterns = {edge(0, 31, 1), edge(1, 32, 3), edge(0, 31, 2),
+                edge(2, 32, 4), edge(0, 33, 5)};
+  q.num_vars = 6;
+  return q;
+}
+
+// Composites and the repeated star, each in several pattern orders with
+// variables renumbered by first appearance: the shuffles move which of
+// two isomorphic sub-plans a pricing call meets first.
+std::vector<Query> ShuffledQueries() {
+  std::vector<Query> out;
+  for (const Query& base : {Branching(), RepeatedTree(), RepeatedStar()}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      Query q = base;
+      util::Pcg32 rng(seed);
+      rng.Shuffle(&q.patterns);
+      query::NormalizeVariables(&q);
+      out.push_back(std::move(q));
+    }
+  }
+  return out;
+}
+
+std::vector<Query> TestAndShuffledQueries() {
+  std::vector<Query> out = TestQueries();
+  for (Query& q : ShuffledQueries()) out.push_back(std::move(q));
+  return out;
 }
 
 // Checks that the tree under `index` is a partition of exactly `mask`.
@@ -188,7 +240,7 @@ TEST(PlannerTest, BushyNeverCostsMoreThanLeftDeep) {
 }
 
 TEST(PlannerTest, MemoOnAndOffChooseIdenticalPlans) {
-  for (const Query& q : TestQueries()) {
+  for (const Query& q : TestAndShuffledQueries()) {
     HashSource source;
     PlannerConfig with_memo;
     with_memo.use_memo = true;
@@ -218,7 +270,7 @@ TEST(PlannerTest, BatchedAndSerialPricingChooseIdenticalPlans) {
   // batched pipeline — which must not reorder or drop results.
   auto graph = lmkg::testing::MakeRandomGraph(60, 6, 700, 11);
   baselines::IndependenceEstimator independence(graph);
-  for (const Query& q : TestQueries()) {
+  for (const Query& q : TestAndShuffledQueries()) {
     DirectSource source(&independence);
     PlannerConfig batched;
     batched.batched_pricing = true;
@@ -237,6 +289,39 @@ TEST(PlannerTest, BatchedAndSerialPricingChooseIdenticalPlans) {
       EXPECT_EQ(a_nodes[i].mask, b.nodes[i].mask);
       EXPECT_EQ(a_nodes[i].cardinality, b.nodes[i].cardinality);
     }
+  }
+}
+
+// Each distinct sub-plan reaches the source exactly once per PlanQuery:
+// the memo lookup's fingerprint doubles as the in-call dedup key, so
+// isomorphic lattice cells share one estimate.
+TEST(PlannerTest, PricesEachDistinctSubPlanOnce) {
+  class CountingSource : public CardinalitySource {
+   public:
+    double EstimateOne(const Query& q) override {
+      const query::Fingerprint fp = query::ComputeFingerprint(q, &scratch_);
+      ++seen[fp];
+      return static_cast<double>(fp.lo % 99991);
+    }
+    std::unordered_map<query::Fingerprint, int, query::FingerprintHasher>
+        seen;
+
+   private:
+    query::FingerprintScratch scratch_;
+  };
+  for (const bool batched : {true, false}) {
+    CountingSource source;
+    PlannerConfig config;
+    config.batched_pricing = batched;
+    JoinPlanner planner(&source, config);
+    const Query q = RepeatedStar();
+    const Plan& plan = planner.PlanQuery(q);
+    CheckValid(plan, q.patterns.size());
+    for (const auto& [fp, count] : source.seen) EXPECT_EQ(count, 1);
+    // 26 connected cells of size >= 2; 9 (p10-count, p11-count) shapes.
+    EXPECT_EQ(plan.subplans_considered, 26u);
+    EXPECT_EQ(plan.subplans_priced, 9u);
+    EXPECT_EQ(source.seen.size(), 9u);
   }
 }
 

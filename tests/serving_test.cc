@@ -12,9 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -53,6 +58,53 @@ std::vector<Query> MakeWorkload(const rdf::Graph& graph, size_t per_combo,
   }
   return queries;
 }
+
+// Set on the threads a test submits from, so a replica can tell whether
+// the service computed on the caller's thread or on a shard worker.
+thread_local bool tl_client_thread = false;
+
+struct ClientThreadScope {
+  ClientThreadScope() { tl_client_thread = true; }
+  ~ClientThreadScope() { tl_client_thread = false; }
+};
+
+// Forwards to a real replica and counts its estimate calls by the thread
+// they run on: a client thread (inline execution) or anything else (the
+// shard worker).
+class ThreadCountingEstimator : public core::CardinalityEstimator {
+ public:
+  ThreadCountingEstimator(std::unique_ptr<core::CardinalityEstimator> inner,
+                          std::atomic<int>* on_client,
+                          std::atomic<int>* on_worker)
+      : inner_(std::move(inner)),
+        on_client_(on_client),
+        on_worker_(on_worker) {}
+
+  double EstimateCardinality(const Query& q) override {
+    Count();
+    return inner_->EstimateCardinality(q);
+  }
+  void EstimateCardinalityBatch(std::span<const Query> queries,
+                                std::span<double> out) override {
+    Count();
+    inner_->EstimateCardinalityBatch(queries, out);
+  }
+  bool CanEstimate(const Query& q) const override {
+    return inner_->CanEstimate(q);
+  }
+  std::string name() const override { return inner_->name(); }
+  size_t MemoryBytes() const override { return inner_->MemoryBytes(); }
+
+ private:
+  void Count() {
+    (tl_client_thread ? on_client_ : on_worker_)
+        ->fetch_add(1, std::memory_order_relaxed);
+  }
+
+  std::unique_ptr<core::CardinalityEstimator> inner_;
+  std::atomic<int>* on_client_;
+  std::atomic<int>* on_worker_;
+};
 
 class ServingTest : public ::testing::Test {
  protected:
@@ -113,6 +165,15 @@ class ServingTest : public ::testing::Test {
       size_t n) {
     std::vector<std::unique_ptr<core::CardinalityEstimator>> replicas;
     for (size_t i = 0; i < n; ++i) replicas.push_back(NewReplica());
+    return replicas;
+  }
+
+  std::vector<std::unique_ptr<core::CardinalityEstimator>> CountingReplicas(
+      size_t n, std::atomic<int>* on_client, std::atomic<int>* on_worker) {
+    std::vector<std::unique_ptr<core::CardinalityEstimator>> replicas;
+    for (size_t i = 0; i < n; ++i)
+      replicas.push_back(std::make_unique<ThreadCountingEstimator>(
+          NewReplica(), on_client, on_worker));
     return replicas;
   }
 
@@ -303,11 +364,95 @@ TEST_F(ServingTest, EstimateBatchBackpressuresThroughTinyRing) {
   ServiceConfig config;
   config.max_batch_size = 4;
   config.ring_capacity = 4;
+  config.inline_execution = false;  // an idle shard would run it inline
   EstimatorService service(Replicas(1), config);
   std::vector<double> results(workload_.size(), -1.0);
   service.EstimateBatch(workload_, results);
   for (size_t i = 0; i < workload_.size(); ++i)
     EXPECT_DOUBLE_EQ(results[i], expected_[i]);
+}
+
+TEST_F(ServingTest, IdleEstimateBatchRunsOnCallerMatchingQueuedPath) {
+  // On an idle service every shard's misses run on the caller's thread,
+  // in chunks of max_batch_size. Results are bit-identical to the serial
+  // path, and Stats() counts the same requests, misses and batched
+  // requests as the queued path does.
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    std::array<ServingStatsSnapshot, 2> stats;
+    for (const bool inline_execution : {true, false}) {
+      std::atomic<int> on_client{0};
+      std::atomic<int> on_worker{0};
+      ServiceConfig config;
+      config.max_batch_size = 16;
+      config.cache_capacity = 1024;
+      config.inline_execution = inline_execution;
+      EstimatorService service(
+          CountingReplicas(shards, &on_client, &on_worker), config);
+      std::vector<double> results(workload_.size(), -1.0);
+      {
+        ClientThreadScope client;
+        service.EstimateBatch(workload_, results);
+      }
+      for (size_t i = 0; i < workload_.size(); ++i)
+        EXPECT_EQ(results[i], expected_[i])
+            << "shards=" << shards << " inline=" << inline_execution;
+      EXPECT_EQ(on_client.load() > 0, inline_execution);
+      EXPECT_EQ(on_worker.load() > 0, !inline_execution);
+      stats[inline_execution ? 0 : 1] = service.Stats();
+    }
+    EXPECT_EQ(stats[0].requests, workload_.size());
+    EXPECT_EQ(stats[0].requests, stats[1].requests);
+    EXPECT_EQ(stats[0].cache_misses, stats[1].cache_misses);
+    EXPECT_EQ(stats[0].batched_requests, stats[1].batched_requests);
+    // Inline chunks never exceed max_batch_size.
+    EXPECT_LE(stats[0].mean_batch_fill, 16.0);
+  }
+}
+
+TEST_F(ServingTest, EstimateBatchQueuesBehindAHeldReplica) {
+  // While another thread holds the shard's replica (WithReplica), the
+  // batch cannot run inline: it must take the queued path, and complete
+  // on the shard worker once the replica is released.
+  std::atomic<int> on_client{0};
+  std::atomic<int> on_worker{0};
+  ServiceConfig config;
+  config.max_batch_size = 16;
+  config.cache_capacity = 1024;  // its miss counter shows the submission
+  EstimatorService service(CountingReplicas(1, &on_client, &on_worker),
+                           config);
+  std::promise<void> held;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread holder([&] {
+    service.WithReplica(0, [&](core::CardinalityEstimator*) {
+      held.set_value();
+      released.wait();
+    });
+  });
+  held.get_future().wait();
+
+  std::vector<double> results(workload_.size(), -1.0);
+  std::atomic<bool> returned{false};
+  std::thread caller([&] {
+    ClientThreadScope client;
+    service.EstimateBatch(workload_, results);
+    returned.store(true, std::memory_order_release);
+  });
+  // Every lookup has missed once the batch is routed; the try-lock and
+  // ring push follow within microseconds.
+  while (service.Stats().cache_misses < workload_.size())
+    std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load(std::memory_order_acquire));
+  release.set_value();
+  caller.join();
+  holder.join();
+
+  for (size_t i = 0; i < workload_.size(); ++i)
+    EXPECT_EQ(results[i], expected_[i]);
+  EXPECT_EQ(on_client.load(), 0);
+  EXPECT_GT(on_worker.load(), 0);
+  EXPECT_EQ(service.Stats().requests, workload_.size());
 }
 
 // The planner-shaped TSan stress: K concurrent "enumerations", each
